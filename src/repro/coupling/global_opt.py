@@ -550,7 +550,7 @@ class PlanCacheStats(LockedCounters):
     specialised: int = 0  # constant-sensitive variants compiled
     uncacheable: int = 0  # shapes (not asks) marked uncacheable
     invalidations: int = 0
-    bind_empties: int = 0
+    bind_empties: int = 0  # binds that proved a constant outside its domain
     batched_asks: int = 0  # goals answered through a set-oriented batch
     batch_executions: int = 0  # IN (VALUES …) statements executed
     recursive_batches: int = 0  # batch-seeded WITH RECURSIVE executions

@@ -30,6 +30,16 @@ plan, or vanished from the tableau) are *constant-sensitive*: they cache
 exact-constant variants instead, so warm answers are always identical to
 a fresh compilation.
 
+Every entry point shares one copy of each stage.  ``_run_cold`` is the
+cold compile (metaevaluate → Algorithm 2 → cost order → result cache →
+segment merge → translate → prepare → execute), used by ``ask`` and the
+``metaevaluate/4`` fetch.  ``_compile_plan`` turns a cold run into a
+cached plan, and ``_parameterize`` — the marker analysis — also builds
+``ask_consistent``'s rewriting plans.  ``_execute_plan`` is the warm
+executor (bind → fetch → demultiplex) for ``ask``'s read-locked and
+write-locked paths and for ``ask_consistent``; the fetch reuses its bind
+and row-fetch steps.  ``_lookup_plan`` is the one plan-cache lookup.
+
 Serving (concurrency + batching)
 --------------------------------
 
@@ -52,11 +62,12 @@ multiple-query optimization, applied to the prepared-plan hot path).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..concurrency import LockedCounters
 
@@ -79,7 +90,6 @@ from ..errors import (
     CqaError,
     DeadlineExceeded,
     ExecutionError,
-    MetaevaluationError,
     ReproError,
     TransientBackendError,
 )
@@ -107,7 +117,7 @@ from ..prolog.terms import (
     list_items,
     variables_of,
 )
-from ..prolog.unify import Substitution, unify
+from ..prolog.unify import unify
 from ..schema.catalog import DatabaseSchema
 from ..schema.constraints import ConstraintSet
 from ..schema.empdep import empdep_constraints, empdep_schema
@@ -118,7 +128,6 @@ from .global_opt import (
     UNCACHEABLE,
     CachePolicy,
     CompiledPlan,
-    ExecutionPlan,
     GoalShape,
     PlanCache,
     ResultCache,
@@ -138,6 +147,9 @@ Value = Union[int, float, str, None]
 #: Sentinel: the lock-free/read-locked fast path could not answer the
 #: goal; the caller must re-run the full pipeline under the write lock.
 _NEEDS_WRITE = object()
+
+#: The paper's ``no_optim`` flag: Algorithm 2 passes predicates through.
+_NO_OPTIM = SimplifyOptions.none()
 
 
 def _hit_rate(hits: int, misses: int) -> Optional[float]:
@@ -287,6 +299,9 @@ class PrologDbSession:
             else ExternalDatabase(self.schema, constraints=self.constraints)
         )
         self.optimize = optimize
+        #: Algorithm 2's stage toggles for every compile this session runs
+        #: (a ``no_optim`` fetch alone overrides them).
+        self._simplify_options = SimplifyOptions() if optimize else _NO_OPTIM
         self.kb = KnowledgeBase()
         self.engine = Engine(self.kb)
         self.metaevaluator = Metaevaluator(self.schema, self.kb)
@@ -307,10 +322,6 @@ class PrologDbSession:
         #: mutation of an involved relation changes the key.
         self._cqa_memo: dict[tuple, frozenset] = {}
         self._cqa_memo_lock = threading.Lock()
-        #: Reachable-base-relation sets per (goal indicators, kb
-        #: generation) — the call graph only changes with the kb, so a
-        #: warm consistent ask skips the graph traversal entirely.
-        self._cqa_relations_memo: dict[tuple, frozenset] = {}
         #: Per-ask tracing (ROADMAP E20).  ``tracing=False`` is the kill
         #: switch: ``Tracer.begin`` then returns ``None`` before any
         #: allocation and the backend execute observer is never installed.
@@ -354,11 +365,8 @@ class PrologDbSession:
         )
 
     def _on_base_relation_change(self, kind, indicator, clauses) -> None:
-        name, arity = indicator
-        if self.schema.has_relation(name) and (
-            self.schema.relation(name).arity == arity
-        ):
-            self.cache.invalidate_relation(name)
+        if self._is_base_relation(*indicator):
+            self.cache.invalidate_relation(indicator[0])
 
     # -- program loading ---------------------------------------------------------
 
@@ -427,13 +435,8 @@ class PrologDbSession:
         with self.kb.lock.read():
             clauses = []
             for indicator in list(self.kb.indicators()):
-                name, arity = indicator
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ):
-                    continue
-                clauses.extend(self.kb.all_clauses(indicator))
+                if not self._is_base_relation(*indicator):
+                    clauses.extend(self.kb.all_clauses(indicator))
             return self.kb.generation, program_to_string(clauses)
 
     @staticmethod
@@ -477,10 +480,7 @@ class PrologDbSession:
         # delete: concurrent readers see the tuple everywhere or nowhere.
         with self.kb.lock.write():
             found = self.kb.retract(clause)
-            if not (
-                self.schema.has_relation(functor)
-                and self.schema.relation(functor).arity == len(args)
-            ):
+            if not self._is_base_relation(functor, len(args)):
                 return found
             row = tuple(term_to_value(argument) for argument in args)
             if self.materialize.is_maintained(functor):
@@ -500,12 +500,17 @@ class PrologDbSession:
         any base relation with internally asserted tuples is materialised
         externally so the generated SQL sees the union of both segments.
         """
-        for tag in {row.tag for row in predicate.rows}:
-            if not self.schema.has_relation(tag):
-                continue
-            relation = self.schema.relation(tag)
-            if self.kb.fact_count((tag, relation.arity)):
-                self.merger.materialise_internal(tag)
+        for tag in self._pending_segments(predicate):
+            self.merger.materialise_internal(tag)
+
+    def _pending_segments(self, predicate: DbclPredicate) -> list[str]:
+        """The predicate's base relations with internally asserted tuples."""
+        return [
+            tag
+            for tag in {row.tag for row in predicate.rows}
+            if self.schema.has_relation(tag)
+            and self.kb.fact_count((tag, self.schema.relation(tag).arity))
+        ]
 
     # -- the paper's amalgamated metaevaluate/4 ------------------------------------
 
@@ -521,7 +526,7 @@ class PrologDbSession:
                 raise CouplingError("metaevaluate/4 expects a one-goal list")
             inner = goals[0]
             use_optim = subst.apply(options) != Atom("no_optim")
-            predicate, rows = session._fetch_view(inner, optimize=use_optim)
+            predicate = session._fetch_view(inner, optimize=use_optim)
             from ..prolog.reader import parse_term
 
             if predicate is None:
@@ -551,7 +556,9 @@ class PrologDbSession:
             span.phases[phase] = span.phases.get(phase, 0.0) + elapsed
         return now
 
-    def _cost_ordered(self, predicate: DbclPredicate) -> DbclPredicate:
+    def _cost_ordered(
+        self, predicate: DbclPredicate, options: SimplifyOptions
+    ) -> DbclPredicate:
         """Rows reordered by the statistics-driven greedy join order.
 
         Applied between Algorithm 2 and SQL translation: the simplified
@@ -563,7 +570,7 @@ class PrologDbSession:
         service, so ``explain`` traces and ``no_optim`` runs keep the
         paper's literal row order.
         """
-        if not self.optimize or len(predicate.rows) <= 1:
+        if options == _NO_OPTIM or len(predicate.rows) <= 1:
             return predicate
         stats_of = getattr(self.database, "relation_statistics", None)
         if stats_of is None:
@@ -575,39 +582,19 @@ class PrologDbSession:
         except Exception:  # noqa: BLE001 - cost ordering is advisory
             return predicate
 
-    def _fetch_view(
-        self, goal: Term, optimize: bool = True
-    ) -> tuple[Optional[DbclPredicate], list[tuple]]:
-        """Metaevaluate a single-view goal, execute it, assert the answers.
+    def _to_dbcl(
+        self, kind: str, goal: Term, targets: Sequence[Variable]
+    ) -> Optional[DbclPredicate]:
+        """Metaevaluate ``goal`` for a plan of ``kind``.
 
-        A view that was metaevaluated before carries its previous answers
-        as asserted facts; unfolding now yields extra *fact branches* with
-        no database calls.  Those answers are already in the internal
-        database, so only the rule branch is compiled.
-
-        Repeated shapes take the prepared path: the rule branch's
-        compilation is cached per goal shape (see the module docstring)
-        and re-executed with bound parameters.
+        A ``metaevaluate/4`` fetch compiles only the view's rule branch:
+        a view that was metaevaluated before carries its previous answers
+        as asserted facts, and unfolding yields them as extra *fact
+        branches* with no database calls.  ``None`` means every branch
+        was such a fact (the answers are already internal).
         """
-        use_optim = bool(optimize and self.optimize)
-        targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            self.plans.sync(self.kb)
-            base = goal_shape(goal)
-            if base is not None:
-                shape = GoalShape(
-                    key=("fetch", use_optim) + base.key,
-                    constants=base.constants,
-                )
-                plan = self.plans.lookup(shape)
-                if plan is UNCACHEABLE:
-                    shape = None  # cold path, no recompilation attempt
-                elif plan is not None:
-                    return self._execute_fetch_plan(plan, shape, goal, targets)
-
-        mark = time.perf_counter()
-        self.compile_phases.incr("cold_compilations")
+        if kind != "fetch":
+            return self.metaevaluator.metaevaluate(goal, targets=list(targets))
         name = self.metaevaluator._default_name(goal)
         branches = [
             branch
@@ -615,52 +602,116 @@ class PrologDbSession:
             if branch.dbcalls
         ]
         if not branches:
-            return None, []  # everything already answered internally
+            return None
         if len(branches) > 1:
             raise CouplingError(
                 f"metaevaluate/4 on disjunctive view {name}; use "
                 "ask_disjunctive instead"
             )
-        predicate = self.metaevaluator.branch_to_dbcl(branches[0], name, targets)
+        return self.metaevaluator.branch_to_dbcl(
+            branches[0], name, list(targets)
+        )
+
+    def _run_cold(self, goal: Term, mark: float, artifacts: dict) -> list[tuple]:
+        """The cold compile: metaevaluate → Algorithm 2 → cost order →
+        result cache → segment merge → translate → prepare → execute.
+
+        ``goal`` is the conjunction compiled to SQL (an ask's external
+        block, a fetch's view call) and ``mark`` the start of the cold
+        run.  ``artifacts`` describes the compile — the plan ``kind``,
+        the goal positions of the conjuncts compiled to SQL
+        (``external``) and left to Prolog (``internal``), the
+        ``fetch_targets`` and the simplify ``options`` — and receives its
+        outcome for :meth:`_compile_plan`:
+        ``original`` (None when :meth:`_to_dbcl` found nothing to
+        compile), ``final`` (None when simplification proved the goal
+        empty) and, when SQL was printed, ``sql_text``.
+        """
+        artifacts["original"] = artifacts["final"] = None
+        predicate = self._to_dbcl(
+            artifacts["kind"], goal, artifacts["fetch_targets"]
+        )
+        if predicate is None:
+            return []
         mark = self._phase("metaevaluate", mark)
-        options = SimplifyOptions() if use_optim else SimplifyOptions.none()
+        options = artifacts["options"]
         result = simplify(predicate, self.constraints, options)
+        artifacts["original"] = result.original
         if result.is_empty:
             self._phase("optimize", mark)
-            if shape is not None:
-                self._compile_fetch_plan(
-                    shape, goal, targets, name, options, None, result.original
-                )
-            return result.original, []
-        final = result.predicate
-        if use_optim:
-            final = self._cost_ordered(final)
+            return []
+        final = artifacts["final"] = self._cost_ordered(result.predicate, options)
         mark = self._phase("optimize", mark)
         rows = self.cache.lookup(final)
-        sql_text: Optional[str] = None
         if rows is None:
             self._merge_internal_segments(final)
             mark = time.perf_counter()
             sql = translate(final, distinct=True)
             mark = self._phase("translate", mark)
             if sql.is_empty:
+                # A false ground comparison survived (simplification off):
+                # provably empty, never sent to the DBMS.
                 rows = []
             else:
-                sql_text = self.database.prepare(sql)
+                sql_text = artifacts["sql_text"] = self.database.prepare(sql)
                 self._phase("print", mark)
                 rows = self.database.execute_prepared(sql_text)
             self.cache.store(final, rows, self._result_dependencies(final, goal))
-        assert_answers(self.kb, goal, final, targets, rows)
+        return rows
+
+    def _fetch_view(
+        self, goal: Term, optimize: bool = True
+    ) -> Optional[DbclPredicate]:
+        """Metaevaluate a single-view goal, execute it, assert the answers.
+
+        Returns the compiled DBCL predicate — the unsimplified one when
+        the fetch is provably empty — or ``None`` when every answer is
+        already in the internal database.  Repeated shapes take the
+        prepared path: the rule branch's compilation is cached per goal
+        shape (see the module docstring) and re-executed with bound
+        parameters.
+        """
+        use_optim = bool(optimize and self.optimize)
+        targets = [v for v in variables_of(goal) if not v.is_anonymous]
+        shape, plan = self._lookup_plan(goal, ("fetch", use_optim))
+        if plan is not None:
+            bound = self._bind(plan, shape.constants)
+            if bound is None:
+                # Match the cold path's contract: a provably-empty fetch
+                # reports the unsimplified predicate it proved empty.
+                if plan.is_empty:
+                    return plan.template
+                return self._to_dbcl("fetch", goal, targets)
+            rows = self._rows_for_plan(plan, shape.constants, bound, goal)
+            assert_answers(self.kb, goal, bound, targets, rows)
+            # New answer facts (or a segment merge above) advanced the KB
+            # generation; keep this shape's plan alive across the bump, as
+            # the cold path does by recompiling after its own assert.
+            self.plans.retain(shape, self.kb)
+            return bound
+
+        mark = time.perf_counter()
+        self.compile_phases.incr("cold_compilations")
+        artifacts = {
+            "kind": "fetch",
+            "external": range(len(conjuncts(goal))),
+            "internal": (),
+            "fetch_targets": targets,
+            "options": self._simplify_options if use_optim else _NO_OPTIM,
+        }
+        rows = self._run_cold(goal, mark, artifacts)
+        final = artifacts["final"]
+        if artifacts["original"] is None:
+            return None
+        if final is not None:
+            assert_answers(self.kb, goal, final, targets, rows)
         if shape is not None:
             # Compile after asserting: the new answer facts advanced the KB
             # generation, and a plan stored before them would be dropped on
             # the next sync.  The plan stays valid — answer facts only add
             # fact branches, which the fetch path filters out by design.
-            self._compile_fetch_plan(
-                shape, goal, targets, name, options, final, result.original,
-                sql_text,
-            )
-        return final, rows
+            self._compile_plan(shape, goal, artifacts)
+        return final if final is not None else artifacts["original"]
 
     # -- query answering --------------------------------------------------------------
 
@@ -687,15 +738,30 @@ class PrologDbSession:
         fault policy's ``max_ask_retries``; only a budget this generous
         failing turns into an error the caller sees.
         """
+        return self._traced("ask", self._ask_once, goal, max_solutions, deadline)
+
+    def _traced(
+        self,
+        kind: str,
+        once,
+        goal: Union[str, Term],
+        max_solutions: Optional[int],
+        deadline: Optional[float],
+    ) -> list[dict[str, Value]]:
+        """One span and one deadline scope around a retried ask.
+
+        Shared by :meth:`ask` and :meth:`ask_consistent`, which differ
+        only in the single attempt (``once``) they retry.
+        """
         if isinstance(goal, str):
             goal = parse_goal(goal)
-        span = self.tracer.begin(goal)
+        span = self.tracer.begin(goal, kind)
         if span is None:  # tracing disabled, or attributed to an outer span
             with self.database.deadline(deadline):
-                return self._ask_resilient(goal, max_solutions)
+                return self._resilient(once, goal, max_solutions, None)
         try:
             with self.database.deadline(deadline):
-                answers = self._ask_resilient(goal, max_solutions, span)
+                answers = self._resilient(once, goal, max_solutions, span)
                 if deadline is not None:
                     scope = self.database.current_deadline()
                     if scope is not None:
@@ -708,15 +774,15 @@ class PrologDbSession:
         finally:
             self.tracer.commit(span)
 
-    def _ask_resilient(
-        self, goal: Term, max_solutions: Optional[int], span=None
+    def _resilient(
+        self, once, goal: Term, max_solutions: Optional[int], span
     ) -> list[dict[str, Value]]:
-        """Retry transient failures around the whole ask pipeline."""
+        """Retry transient failures around one whole ask attempt."""
         policy = self.database.policy
         attempts = 0
         while True:
             try:
-                return self._ask_once(goal, max_solutions, span)
+                return once(goal, max_solutions, span)
             except TransientBackendError:
                 attempts += 1
                 if not policy.enabled or attempts > policy.max_ask_retries:
@@ -791,19 +857,10 @@ class PrologDbSession:
                 span.plan_kind = plan.kind
                 now = time.perf_counter()
                 span.phases["plan_lookup"] = now - mark
-            if plan.is_empty:
-                return []
-            bound = plan.bind(shape.constants, self.constraints)
-            if bound is None:
-                self.plans.stats.incr("bind_empties")
-                return []
-            if self._pending_merge(bound):
-                return _NEEDS_WRITE  # merging segments mutates both stores
-            # Same executor as the write path's warm branch; its internal
-            # segment merge provably no-ops here (_pending_merge is false),
-            # so nothing mutates under the read lock.
             try:
-                rows = self._rows_for_plan(plan, shape, bound, goal)
+                return self._execute_plan(
+                    plan, shape, goal, max_solutions, span, read_only=True
+                )
             except TransientBackendError:
                 raise  # the resilient ask driver retries whole attempts
             except ExecutionError:
@@ -811,17 +868,6 @@ class PrologDbSession:
                 # recompile cold) mutates the plan cache and runs the
                 # cold pipeline: restart on the write side.
                 return _NEEDS_WRITE
-            if span is not None:
-                mark = time.perf_counter()
-            goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
-            answers = self._rows_to_answers(
-                bound, plan.fetch_targets, rows, goal_vars
-            )
-            if span is not None:
-                span.phases["demux"] = time.perf_counter() - mark
-            if max_solutions is not None:
-                return answers[:max_solutions]
-            return answers
 
     def _ask_write_path(
         self, goal: Term, max_solutions: Optional[int], span=None
@@ -835,49 +881,63 @@ class PrologDbSession:
                 span.plan_cache = "maintained"
                 span.plan_kind = "maintained"
             return maintained
-        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
+        shape, plan = self._lookup_plan(goal, span=span)
+        if plan is not None:
+            try:
+                return self._execute_plan(plan, shape, goal, max_solutions, span)
+            except TransientBackendError:
+                raise  # retried whole by the resilient driver
+            except ExecutionError:
+                # The warm plan failed *permanently* mid-execution (a
+                # prepared statement the backend no longer accepts).  Drop
+                # the shape's plans and fall through to exactly one cold
+                # recompilation.
+                self._invalidate_failed_plan(shape)
 
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            mark = time.perf_counter() if span is not None else 0.0
-            self.plans.sync(self.kb)
-            shape = goal_shape(goal)
-            if span is not None:
-                mark = span.mark("shape", mark)
-                if shape is not None:
-                    span.shape_key = shape.key
-            if shape is not None:
-                plan = self.plans.lookup(shape)
-                if span is not None:
-                    span.mark("plan_lookup", mark)
-                if plan is UNCACHEABLE:
-                    if span is not None:
-                        span.plan_cache = "uncacheable"
-                    shape = None  # cold path, no recompilation attempt
-                elif plan is not None:
-                    if span is not None:
-                        span.plan_cache = "hit"
-                        span.plan_kind = plan.kind
-                    try:
-                        return self._execute_plan(
-                            plan, shape, goal, goal_vars, max_solutions
-                        )
-                    except TransientBackendError:
-                        raise  # retried whole by the resilient driver
-                    except ExecutionError:
-                        # The warm plan failed *permanently* mid-execution
-                        # (a prepared statement the backend no longer
-                        # accepts).  Drop the shape's plans and fall
-                        # through to exactly one cold recompilation.
-                        self._invalidate_failed_plan(shape)
-
-        answers, artifacts = self._ask_cold(goal, goal_vars, max_solutions)
+        answers, artifacts = self._ask_cold(goal, max_solutions)
         if span is not None:
             span.plan_cache = "miss"
-            span.plan_kind = artifacts.get("kind")
+            span.plan_kind = artifacts["kind"]
         if shape is not None:
-            self._try_compile(shape, goal, artifacts)
+            self._compile_plan(shape, goal, artifacts)
         return answers
+
+    def _lookup_plan(
+        self, goal: Term, prefix: tuple = (), span=None
+    ) -> tuple[Optional[GoalShape], Optional[CompiledPlan]]:
+        """``(shape, plan)`` for the goal's cached plan; ``plan`` None on a miss.
+
+        ``prefix`` namespaces the shape key per plan family (plain asks,
+        fetches, consistent mode), so one goal's plans never collide.
+        ``shape`` is None when the goal must take the cold path without
+        compiling: plan caching off, an unshapeable goal, or a shape
+        marked uncacheable.  ``span`` (if any) records the shape and
+        lookup phases and the hit.
+        """
+        if not self._plan_caching:
+            return None, None
+        mark = time.perf_counter() if span is not None else 0.0
+        self.plans.sync(self.kb)
+        shape = goal_shape(goal)
+        if span is not None:
+            mark = span.mark("shape", mark)
+        if shape is None:
+            return None, None
+        if prefix:
+            shape = GoalShape(key=prefix + shape.key, constants=shape.constants)
+        if span is not None:
+            span.shape_key = shape.key
+        plan = self.plans.lookup(shape)
+        if span is not None:
+            span.mark("plan_lookup", mark)
+        if plan is UNCACHEABLE:
+            if span is not None:
+                span.plan_cache = "uncacheable"
+            return None, None  # cold path, no recompilation attempt
+        if plan is not None and span is not None:
+            span.plan_cache = "hit"
+            span.plan_kind = plan.kind
+        return shape, plan
 
     def _invalidate_failed_plan(self, shape: GoalShape) -> None:
         """Drop a warm plan that failed permanently at execution time.
@@ -893,16 +953,6 @@ class PrologDbSession:
         self.plans.evict(shape)
         self.cache.invalidate()
         self.database.resilience.incr("plan_invalidations")
-
-    def _pending_merge(self, predicate: DbclPredicate) -> bool:
-        """Would executing this predicate first need a segment merge?"""
-        for tag in {row.tag for row in predicate.rows}:
-            if not self.schema.has_relation(tag):
-                continue
-            relation = self.schema.relation(tag)
-            if self.kb.fact_count((tag, relation.arity)):
-                return True
-        return False
 
     # -- consistent query answering (ROADMAP E19) -------------------------------------
 
@@ -941,50 +991,10 @@ class PrologDbSession:
         :class:`~repro.errors.CqaError`.  ``deadline`` and transient
         retries behave exactly as in :meth:`ask`.
         """
-        if isinstance(goal, str):
-            goal = parse_goal(goal)
-        span = self.tracer.begin(goal, kind="ask_consistent")
-        if span is None:
-            with self.database.deadline(deadline):
-                return self._ask_consistent_resilient(goal, max_solutions, None)
-        try:
-            with self.database.deadline(deadline):
-                answers = self._ask_consistent_resilient(
-                    goal, max_solutions, span
-                )
-                if deadline is not None:
-                    scope = self.database.current_deadline()
-                    if scope is not None:
-                        span.deadline_remaining = round(scope.remaining(), 6)
-            span.answers = len(answers)
-            return answers
-        except Exception as error:
-            span.error = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self.tracer.commit(span)
-
-    def _ask_consistent_resilient(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        """Retry transient failures around the whole consistent ask."""
-        policy = self.database.policy
-        attempts = 0
-        while True:
-            try:
-                return self._ask_consistent_once(goal, max_solutions, span)
-            except TransientBackendError:
-                attempts += 1
-                if not policy.enabled or attempts > policy.max_ask_retries:
-                    raise
-                self.database.resilience.incr("ask_retries")
-                pause = policy.ask_retry_pause * min(attempts, 8)
-                scope = self.database.current_deadline()
-                if scope is not None:
-                    if scope.expired:
-                        raise
-                    pause = scope.clamp(pause)
-                time.sleep(pause)
+        return self._traced(
+            "ask_consistent", self._ask_consistent_once, goal, max_solutions,
+            deadline,
+        )
 
     def _ask_consistent_once(
         self, goal: Term, max_solutions: Optional[int], span=None
@@ -1029,38 +1039,11 @@ class PrologDbSession:
 
     def _relations_of_goal(self, goal: Term) -> set[str]:
         """Base relations the goal can read, transitively through views."""
-        import networkx as nx
-
-        indicators = []
-        for term in conjuncts(goal):
-            try:
-                indicators.append(goal_indicator(term))
-            except ValueError:
-                continue
-        memo_key = (frozenset(indicators), self.kb.generation)
-        cached = self._cqa_relations_memo.get(memo_key)
-        if cached is not None:
-            return set(cached)
-        graph = (
-            self.plans.graph(self.kb, self.schema)
-            if self._plan_caching
-            else view_call_graph(self.kb, self.schema)
-        )
-        relations: set[str] = set()
-        for indicator in indicators:
-            reachable = {indicator}
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-            for name, arity in reachable:
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ):
-                    relations.add(name)
-        if len(self._cqa_relations_memo) >= 128:
-            self._cqa_relations_memo.clear()
-        self._cqa_relations_memo[memo_key] = frozenset(relations)
-        return relations
+        return {
+            name
+            for name, arity in self._reachable(goal)
+            if self._is_base_relation(name, arity)
+        }
 
     def _ask_consistent_dirty(
         self,
@@ -1070,65 +1053,46 @@ class PrologDbSession:
         span=None,
     ) -> list[dict[str, Value]]:
         """The certain-answer pipeline for a store with violations."""
-        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            self.plans.sync(self.kb)
-            base = goal_shape(goal)
-            if base is not None:
-                # The consistent-mode variant of the shape: same constants,
-                # prefixed key, so plain and rewritten plans never collide.
-                shape = GoalShape(
-                    key=("cqa",) + base.key, constants=base.constants
-                )
-                cached = self.plans.lookup(shape)
-                if cached is UNCACHEABLE:
-                    shape = None
-                elif cached is not None:
-                    self.cqa_stats.incr("rewrite_cache_hits")
-                    if span is not None:
-                        span.shape_key = shape.key
-                        span.plan_cache = "hit"
-                        span.plan_kind = cached.kind
-                    return self._execute_cqa_plan(
-                        cached, shape.constants, goal_vars, dirty,
-                        max_solutions, span,
-                    )
-        constants = shape.constants if shape is not None else ()
-        try:
-            material, plan = self._compile_cqa_plan(goal, shape)
-        except CqaError:
-            raise
-        except Exception:
+        shape, plan = self._lookup_plan(goal, ("cqa",), span)
+        if plan is not None:
+            self.cqa_stats.incr("rewrite_cache_hits")
+        else:
+            try:
+                material, plan = self._compile_cqa_plan(goal, shape)
+            except CqaError:
+                raise
+            except Exception:
+                if shape is not None:
+                    self.plans.mark_uncacheable(shape)
+                raise
+            if span is not None:
+                span.plan_cache = "miss"
+                span.plan_kind = plan.kind
             if shape is not None:
-                self.plans.mark_uncacheable(shape)
-            raise
-        if span is not None:
-            span.plan_cache = "miss"
-            span.plan_kind = plan.kind
-            if shape is not None:
-                span.shape_key = shape.key
-        if shape is not None:
-            self.plans.store(shape, material, plan)
-        return self._execute_cqa_plan(
-            plan, constants, goal_vars, dirty, max_solutions, span
+                self.plans.store(shape, material, plan)
+        return self._execute_plan(
+            plan, shape, goal, max_solutions, span, dirty=dirty
         )
 
     def _compile_cqa_plan(
         self, goal: Term, shape: Optional[GoalShape]
     ) -> tuple[frozenset, CompiledPlan]:
-        """Classify the goal and compile its consistent-mode plan."""
+        """Classify the goal and compile its consistent-mode plan.
+
+        Rewriting compiles are expected to repeat, so a shape with
+        constants is parameterized eagerly on its first miss, with a
+        single marker-analysis attempt: any sign the compilation
+        consulted a concrete value falls back to an exact-constant plan
+        at once instead of iterating.
+        """
         if self._is_recursive(goal):
             raise CqaError(
                 "consistent answers are not defined for recursive goals: "
                 "neither the rewriting nor the repair enumeration covers "
                 "them (ROADMAP E19 scope)"
             )
-        graph = (
-            self.plans.graph(self.kb, self.schema) if self._plan_caching else None
-        )
         try:
-            split = plan_goal(self.kb, self.schema, goal, graph=graph)
+            split = plan_goal(self.kb, self.schema, goal, graph=self._call_graph())
         except CouplingError as error:
             raise CqaError(
                 f"goal mixes internal and external knowledge inside one "
@@ -1147,111 +1111,54 @@ class PrologDbSession:
             for v in variables_of(external_goal)
             if not v.is_anonymous and v in interface
         )
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        if (
-            shape is not None
-            and shape.constants
-            and not self._constant_discriminating(
-                [
-                    goal_indicator(term)
-                    for term in split.external
-                    if isinstance(term, Struct)
-                ]
+        finish = functools.partial(self._cqa_plan, fetch_targets)
+        options = self._simplify_options
+        if shape is not None and shape.constants:
+            artifacts = {
+                "kind": "cqa",
+                "external": range(len(conjuncts(goal))),
+                "fetch_targets": fetch_targets,
+                "options": options,
+            }
+            relevant = frozenset(range(shape.parameter_count))
+            material, plan = self._parameterize(
+                shape, goal, artifacts, relevant, finish=finish, attempts=1
             )
-        ):
-            plan = self._cqa_marker_plan(goal, shape, fetch_targets, options)
             if plan is not None:
-                return frozenset(), plan
+                return material, plan
         # Exact-constant fallback: one plan per concrete constant tuple.
+        material = (
+            frozenset(range(shape.parameter_count)) if shape else frozenset()
+        )
         predicate = self.metaevaluator.metaevaluate(
             external_goal, targets=list(fetch_targets)
         )
         result = simplify(predicate, self.constraints, options)
-        material = (
-            frozenset(range(shape.parameter_count)) if shape else frozenset()
-        )
-        if result.is_empty:
-            # Empty under the integrity constraints — and every repair
-            # satisfies them by construction, so certainly empty.
-            return material, CompiledPlan(
+        plan = None
+        if not result.is_empty:
+            plan = finish(
+                self._cost_ordered(result.predicate, options), {}, (), {}
+            )
+        if plan is None:
+            # Empty under the integrity constraints (every repair satisfies
+            # them by construction, so certainly empty), or a false ground
+            # comparison survived into translation.
+            plan = CompiledPlan(
                 kind="cqa",
                 is_empty=True,
                 template=result.original,
                 fetch_targets=fetch_targets,
             )
-        final = self._cost_ordered(result.predicate)
-        return material, self._finish_cqa_plan(
-            final, {}, fetch_targets, (), {}, allow_empty=True
-        )
+        return material, plan
 
-    def _cqa_marker_plan(
+    def _cqa_plan(
         self,
-        goal: Term,
-        shape: GoalShape,
         fetch_targets: tuple[Variable, ...],
-        options: SimplifyOptions,
-    ) -> Optional[CompiledPlan]:
-        """A fully-parameterized consistent plan, or None to fall back.
-
-        One-shot version of :meth:`_parameterize`'s analysis: every
-        constant becomes a marker, and any sign the compilation consulted
-        a concrete value (witness fired, a marker vanished or emptied the
-        plan, translation balked) abandons parameterization for the
-        exact-constant path rather than iterating — rewriting compiles
-        are expected to repeat, so the plan is parameterized eagerly on
-        the first miss.
-        """
-        from ..dbcl.symbols import watch_marker_consultation
-        from ..errors import TranslationError
-
-        open_params = frozenset(range(shape.parameter_count))
-        marker_goal = goal_with_markers(goal, frozenset())
-        predicate_m = self.metaevaluator.metaevaluate(
-            marker_goal, targets=list(fetch_targets)
-        )
-        param_cells = marker_columns(predicate_m)
-        with watch_marker_consultation() as witness:
-            result_m = simplify(predicate_m, self.constraints, options)
-        if result_m.is_empty or witness.consulted:
-            return None
-        final_m = result_m.predicate
-        vanished = (
-            open_params
-            - frozenset(markers_in_rows(final_m))
-            - frozenset(markers_in_comparisons(final_m))
-        )
-        if vanished:
-            return None
-        final_m = self._cost_ordered(final_m)
-        parameter_map = {str(marker_for(index)): index for index in open_params}
-        try:
-            with watch_marker_consultation() as translate_witness:
-                plan = self._finish_cqa_plan(
-                    final_m,
-                    parameter_map,
-                    fetch_targets,
-                    tuple(sorted(open_params)),
-                    {
-                        index: param_cells.get(index, ())
-                        for index in open_params
-                    },
-                    allow_empty=False,
-                )
-            if translate_witness.consulted:
-                return None
-        except TranslationError:
-            return None
-        return plan
-
-    def _finish_cqa_plan(
-        self,
         final: DbclPredicate,
         parameter_map: dict,
-        fetch_targets: tuple[Variable, ...],
         open_params: tuple[int, ...],
         param_columns: dict,
-        allow_empty: bool,
-    ) -> CompiledPlan:
+    ) -> Optional[CompiledPlan]:
         """Decide rewriting vs. enumeration, build the compiled plan.
 
         ``kind="cqa"`` plans carry the full rewritten statement — the
@@ -1260,34 +1167,24 @@ class PrologDbSession:
         repair enumerator.  The parameterized ``sql`` tree is stored as
         ``None`` in both: an ``IN (VALUES …)`` batch variant would let
         one goal's answer satisfy another goal's certainty condition,
-        so consistent plans must never take the batch path.
+        so consistent plans must never take the batch path.  ``None``
+        when the translated query is provably empty.
         """
-        from ..errors import TranslationError
-
         keys_of = {
             row.tag: self.cqa_detector.key_of(row.tag) for row in final.rows
         }
         order = peel_order(final, keys_of)
+        common = dict(
+            template=final,
+            open_params=open_params,
+            param_columns=param_columns,
+            fetch_targets=fetch_targets,
+        )
         if order is None:
-            return CompiledPlan(
-                kind="cqa_enum",
-                template=final,
-                open_params=tuple(open_params),
-                param_columns=dict(param_columns),
-                fetch_targets=tuple(fetch_targets),
-            )
+            return CompiledPlan(kind="cqa_enum", **common)
         sql = translate(final, distinct=True, parameters=parameter_map or None)
         if sql.is_empty:
-            if not allow_empty:
-                raise TranslationError(
-                    "marker-free ground contradiction: replay via exact plan"
-                )
-            return CompiledPlan(
-                kind="cqa",
-                is_empty=True,
-                template=final,
-                fetch_targets=tuple(fetch_targets),
-            )
+            return None
         suffix, suffix_markers = certainty_suffix(
             final, order, parameters=parameter_map
         )
@@ -1302,39 +1199,20 @@ class PrologDbSession:
         )
         return CompiledPlan(
             kind="cqa",
-            template=final,
             sql_text=plain + connector + suffix,
             bind_order=bind_order,
-            open_params=tuple(open_params),
-            param_columns=dict(param_columns),
-            fetch_targets=tuple(fetch_targets),
+            **common,
         )
 
-    def _execute_cqa_plan(
+    def _certain_rows(
         self,
         plan: CompiledPlan,
         constants: tuple,
-        goal_vars: Sequence[Variable],
+        bound: DbclPredicate,
         dirty: dict[str, RelationViolations],
-        max_solutions: Optional[int],
-        span=None,
-    ) -> list[dict[str, Value]]:
-        """Run a consistent-mode plan against a store with violations."""
-        cqa_info = {
-            "mode": "rewritten" if plan.kind == "cqa" else "enumerated",
-            "rewritable": plan.kind == "cqa",
-            "dirty_relations": sorted(dirty),
-            "violating_blocks": sum(v.block_count for v in dirty.values()),
-        }
-        if span is not None:
-            span.cqa = cqa_info
-        if plan.is_empty:
-            self.cqa_stats.incr("rewritten_asks")
-            return []
-        bound = plan.bind(constants, self.constraints)
-        if bound is None:
-            self.plans.stats.incr("bind_empties")
-            return []
+        cqa_info: dict,
+    ) -> list[tuple]:
+        """Rows of a bound consistent-mode plan over a store with violations."""
         if plan.kind == "cqa":
             try:
                 with self.database.fault_context("cqa_rewrite"):
@@ -1352,25 +1230,17 @@ class PrologDbSession:
                 self.cqa_stats.incr("degraded")
                 cqa_info["mode"] = "enumerated"
                 cqa_info["degraded"] = True
-                answers = self._enumerate_certain(bound, dirty, goal_vars)
             else:
                 self.cqa_stats.incr("rewritten_asks")
-                answers = self._rows_to_answers(
-                    bound, plan.fetch_targets, rows, goal_vars
-                )
-        else:
-            answers = self._enumerate_certain(bound, dirty, goal_vars)
-        if max_solutions is not None:
-            return answers[:max_solutions]
-        return answers
+                return rows
+        return self._enumerate_certain(bound, dirty)
 
     def _enumerate_certain(
         self,
         predicate: DbclPredicate,
         dirty: dict[str, RelationViolations],
-        goal_vars: Sequence[Variable],
-    ) -> list[dict[str, Value]]:
-        """Intersect the goal's answers over every repair (memoized).
+    ) -> list[tuple]:
+        """Intersect the goal's answer rows over every repair (memoized).
 
         Certain-answer rows never enter the :class:`ResultCache` — its
         canonical key is the predicate alone, and the *plain* executor
@@ -1412,8 +1282,7 @@ class PrologDbSession:
                     self._cqa_memo.clear()
                 self._cqa_memo[memo_key] = certain
         self.cqa_stats.incr("fallback_asks")
-        rows = sorted(certain, key=repr)
-        return self._rows_to_answers(predicate, (), rows, goal_vars)
+        return sorted(certain, key=repr)
 
     def integrity_report(self) -> dict:
         """Per-relation key/FD violation counts with sample blocks.
@@ -1820,7 +1689,7 @@ class PrologDbSession:
             if key is not None and key not in constants_by_key:
                 constants_by_key[key] = shape.constants
         with self.kb.lock.read():
-            if self._pending_merge(plan.template):
+            if self._pending_segments(plan.template):
                 return None
             self.plans.sync(self.kb)
             first = self.plans.entry_for(shapes[0])
@@ -1877,84 +1746,50 @@ class PrologDbSession:
         return results
 
     def _ask_cold(
-        self,
-        goal: Term,
-        goal_vars: Sequence[Variable],
-        max_solutions: Optional[int],
+        self, goal: Term, max_solutions: Optional[int]
     ) -> tuple[list[dict[str, Value]], dict]:
         """The full classify→compile→execute pipeline (plan-cache miss)."""
+        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
         if self._is_recursive(goal):
             return self._ask_recursive(goal), {"kind": "recursive"}
 
         mark = time.perf_counter()
         self.compile_phases.incr("cold_compilations")
-        graph = (
-            self.plans.graph(self.kb, self.schema) if self._plan_caching else None
-        )
         try:
-            plan = plan_goal(self.kb, self.schema, goal, graph=graph)
+            split = plan_goal(self.kb, self.schema, goal, graph=self._call_graph())
         except CouplingError:
             # A "mixed" goal interleaves database and internal knowledge in
             # one view — the paper's programs handle these themselves by
             # calling metaevaluate/4 inside the rule (the partner example),
             # so ordinary Prolog resolution is the correct evaluator.
-            return (
-                self._answers_from_engine(goal, goal_vars, max_solutions),
-                {"kind": "engine"},
-            )
-        if plan.is_pure_internal:
+            split = None
+        if split is None or split.is_pure_internal:
             return (
                 self._answers_from_engine(goal, goal_vars, max_solutions),
                 {"kind": "engine"},
             )
 
         mark = self._phase("classify", mark)
-        external_goal = conjoin(plan.external)
-        fetch_targets = [
-            v
-            for v in variables_of(external_goal)
-            if not v.is_anonymous and v in set(plan.interface_variables)
-        ]
-        kind = "external" if plan.is_pure_external else "mixed"
+        external_goal = conjoin(split.external)
+        interface = set(split.interface_variables)
+        index_of = {id(term): i for i, term in enumerate(conjuncts(goal))}
         artifacts: dict = {
-            "kind": kind,
-            "plan": plan,
-            "fetch_targets": fetch_targets,
-            "final": None,
+            "kind": "external" if split.is_pure_external else "mixed",
+            "external": [index_of[id(term)] for term in split.external],
+            "internal": tuple(index_of[id(term)] for term in split.internal),
+            "fetch_targets": [
+                v
+                for v in variables_of(external_goal)
+                if not v.is_anonymous and v in interface
+            ],
+            "options": self._simplify_options,
         }
-        predicate = self.metaevaluator.metaevaluate(
-            external_goal, targets=fetch_targets
-        )
-        mark = self._phase("metaevaluate", mark)
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        result = simplify(predicate, self.constraints, options)
-        if result.is_empty:
-            self._phase("optimize", mark)
+        rows = self._run_cold(external_goal, mark, artifacts)
+        final = artifacts["final"]
+        if final is None:
             return [], artifacts
-        final = self._cost_ordered(result.predicate)
-        mark = self._phase("optimize", mark)
-        artifacts["final"] = final
-        rows = self.cache.lookup(final)
-        if rows is None:
-            self._merge_internal_segments(final)
-            mark = time.perf_counter()
-            sql = translate(final, distinct=True)
-            mark = self._phase("translate", mark)
-            if sql.is_empty:
-                # A false ground comparison survived (simplification off):
-                # provably empty, never sent to the DBMS.
-                rows = []
-            else:
-                sql_text = self.database.prepare(sql)
-                self._phase("print", mark)
-                rows = self.database.execute_prepared(sql_text)
-                artifacts["sql_text"] = sql_text
-            self.cache.store(
-                final, rows, self._result_dependencies(final, external_goal)
-            )
-
-        if plan.is_pure_external:
-            answers = self._rows_to_answers(final, fetch_targets, rows, goal_vars)
+        if split.is_pure_external:
+            answers = self._rows_to_answers(final, rows, goal_vars)
             if max_solutions is not None:
                 return answers[:max_solutions], artifacts
             return answers, artifacts
@@ -1962,7 +1797,8 @@ class PrologDbSession:
         # Mixed: assert the external answers under a fresh interface
         # predicate, then let Prolog combine them with internal knowledge.
         answers = self._combine_with_internal(
-            final, fetch_targets, rows, plan.internal, goal_vars, max_solutions
+            final, artifacts["fetch_targets"], rows, split.internal, goal_vars,
+            max_solutions,
         )
         return answers, artifacts
 
@@ -1987,6 +1823,46 @@ class PrologDbSession:
         rewritten = conjoin([interface_goal] + list(internal_goals))
         return self._answers_from_engine(rewritten, goal_vars, max_solutions)
 
+    def _is_base_relation(self, name: str, arity: int) -> bool:
+        return (
+            self.schema.has_relation(name)
+            and self.schema.relation(name).arity == arity
+        )
+
+    def _call_graph(self):
+        """The view call graph: memoized per KB generation by the plan
+        cache, rebuilt on every call by the uncached reference session."""
+        if self._plan_caching:
+            return self.plans.graph(self.kb, self.schema)
+        return view_call_graph(self.kb, self.schema)
+
+    def _reachable(self, goal: Term) -> set[tuple[str, int]]:
+        """The goal's predicates plus everything they reach in the call graph.
+
+        The one walk behind result dependencies, consistent-mode relation
+        sets, and the constant-discrimination check.  Per-predicate
+        results memoize on the graph object itself, so they live exactly
+        as long as the plan cache's memoized graph (one KB generation).
+        """
+        import networkx as nx
+
+        graph = self._call_graph()
+        memo = graph.graph.setdefault("reachable", {})
+        reachable: set[tuple[str, int]] = set()
+        for term in conjuncts(goal):
+            try:
+                indicator = goal_indicator(term)
+            except ValueError:
+                continue
+            found = memo.get(indicator)
+            if found is None:
+                found = {indicator}
+                if graph.has_node(indicator):
+                    found |= nx.descendants(graph, indicator)
+                found = memo[indicator] = frozenset(found)
+            reachable |= found
+        return reachable
+
     def _result_dependencies(
         self, predicate: DbclPredicate, goal: Optional[Term] = None
     ) -> frozenset:
@@ -2000,30 +1876,14 @@ class PrologDbSession:
         names on the path plus any indirect base relations simplification
         may have reasoned away.
         """
-        import networkx as nx
-
         relations = {row.tag for row in predicate.rows}
-        if goal is None:
-            return frozenset(relations)
-        graph = (
-            self.plans.graph(self.kb, self.schema)
-            if self._plan_caching
-            else view_call_graph(self.kb, self.schema)
-        )
-        for term in conjuncts(goal):
-            try:
-                indicator = goal_indicator(term)
-            except ValueError:
-                continue
-            reachable = {indicator}
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-            for name, arity in reachable:
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ) or self.kb.has_procedure((name, arity)):
-                    relations.add(name)
+        if goal is not None:
+            relations.update(
+                name
+                for name, arity in self._reachable(goal)
+                if self._is_base_relation(name, arity)
+                or self.kb.has_procedure((name, arity))
+            )
         return frozenset(relations)
 
     @staticmethod
@@ -2041,25 +1901,56 @@ class PrologDbSession:
 
     # -- plan compilation --------------------------------------------------------------
 
-    def _try_compile(self, shape: GoalShape, goal: Term, artifacts: dict) -> None:
+    def _compile_plan(self, shape: GoalShape, goal: Term, artifacts: dict) -> None:
         """Compile and store a reusable plan for the goal's shape.
 
-        Never raises: a shape the machinery cannot compile (disjunctive
-        views, unexpected structure) is marked uncacheable so the session
-        does not retry on every ask.
+        The plan compiler behind ``ask`` and the ``metaevaluate/4``
+        fetch, fed by the :meth:`_run_cold` artifacts.  Never raises: a
+        shape the machinery cannot compile (disjunctive views, unexpected
+        structure) is marked uncacheable so the session does not retry on
+        every ask.
         """
-        # retain, not sync: a segment merge during the cold run advanced
-        # the generation, but this shape's own cache slot (and its lazy
-        # `attempted` progress) stays valid across its own side effects.
+        # retain, not sync: the cold run's own side effects (a segment
+        # merge, a fetch's answer facts) advanced the generation, but this
+        # shape's cache slot (and its lazy `attempted` progress) stays valid.
         self.plans.retain(shape, self.kb)
+        kind = artifacts["kind"]
         try:
-            self._compile_plan(shape, goal, artifacts)
+            if kind in ("recursive", "engine"):
+                self.plans.store(shape, (), CompiledPlan(kind=kind))
+                return
+            # Constants inside internal conjuncts never reach the external
+            # compilation, and the warm path re-reads internal conjuncts
+            # from the live goal — so they are neither parameterized nor
+            # part of the variant key, and rotating them reuses one plan.
+            relevant = self._params_in_conjuncts(
+                conjuncts(goal), artifacts["external"]
+            )
+            strategy = self._compile_strategy(shape, relevant)
+            plan = None
+            if isinstance(strategy, frozenset):
+                material, plan = self._parameterize(
+                    shape,
+                    goal,
+                    artifacts,
+                    relevant,
+                    initial_material=strategy,
+                        finish=functools.partial(self._sql_plan, artifacts),
+                )
+            if plan is None:
+                # Deferred (first miss) or constant-sensitive on every
+                # relevant position: cache the cold compilation itself,
+                # keyed by the exact constants.
+                material, plan = relevant, self._exact_plan(artifacts)
+            self.plans.store(
+                shape, material, plan, attempted=strategy is not None
+            )
         except Exception:
             self.plans.mark_uncacheable(shape)
 
     @staticmethod
     def _params_in_conjuncts(
-        conjunct_list: Sequence[Term], selected: Sequence[int]
+        conjunct_list: Sequence[Term], selected: Iterable[int]
     ) -> frozenset:
         """Parameter indices occupied by the selected conjuncts.
 
@@ -2104,203 +1995,65 @@ class PrologDbSession:
             return "exact"
         return frozenset(entry.material) & relevant
 
-    def _exact_plan(
-        self,
-        kind: str,
-        final: Optional[DbclPredicate],
-        sql_text: Optional[str],
-        fetch_targets: tuple[Variable, ...],
-        internal_indices: tuple[int, ...],
-        original: Optional[DbclPredicate] = None,
-    ) -> CompiledPlan:
+    def _exact_plan(self, artifacts: dict) -> CompiledPlan:
         """A plan replaying one cold compilation for its exact constants."""
+        final = artifacts["final"]
+        sql_text = artifacts.get("sql_text")
+        common = dict(
+            kind=artifacts["kind"],
+            fetch_targets=tuple(artifacts["fetch_targets"]),
+            internal_indices=artifacts["internal"],
+        )
         if final is None:
             # An empty fetch reports its pre-simplification predicate as
             # the trace; the ask path just answers [].
             return CompiledPlan(
-                kind=kind,
-                is_empty=True,
-                template=original,
-                fetch_targets=fetch_targets,
-                internal_indices=internal_indices,
+                is_empty=True, template=artifacts["original"], **common
             )
         if sql_text is None:
             sql = translate(final, distinct=True)
             if sql.is_empty:
                 # A false ground comparison survived into translation
                 # (simplification off): replay the empty answer.
-                return CompiledPlan(
-                    kind=kind,
-                    is_empty=True,
-                    template=final,
-                    fetch_targets=fetch_targets,
-                    internal_indices=internal_indices,
-                )
+                return CompiledPlan(is_empty=True, template=final, **common)
             sql_text = self.database.prepare(sql)
-        return CompiledPlan(
-            kind=kind,
-            template=final,
-            sql_text=sql_text,
-            fetch_targets=fetch_targets,
-            internal_indices=internal_indices,
-        )
+        return CompiledPlan(template=final, sql_text=sql_text, **common)
 
-    def _compile_plan(self, shape: GoalShape, goal: Term, artifacts: dict) -> None:
-        kind = artifacts["kind"]
-        if kind in ("recursive", "engine"):
-            self.plans.store(shape, (), CompiledPlan(kind=kind))
-            return
-
-        split: ExecutionPlan = artifacts["plan"]
-        fetch_targets = tuple(artifacts["fetch_targets"])
-        conjunct_list = conjuncts(goal)
-        index_of = {id(term): i for i, term in enumerate(conjunct_list)}
-        external_indices = [index_of[id(term)] for term in split.external]
-        internal_indices = tuple(index_of[id(term)] for term in split.internal)
-        # Constants inside internal conjuncts never reach the external
-        # compilation, and the warm path re-reads internal conjuncts from
-        # the live goal — so they are neither parameterized nor part of
-        # the variant key, and rotating them reuses one plan.
-        relevant = self._params_in_conjuncts(conjunct_list, external_indices)
-
-        def store_exact(attempted: bool) -> None:
-            plan = self._exact_plan(
-                kind,
-                artifacts["final"],
-                artifacts.get("sql_text"),
-                fetch_targets,
-                internal_indices,
-            )
-            self.plans.store(shape, relevant, plan, attempted=attempted)
-
-        strategy = self._compile_strategy(shape, relevant)
-        if strategy is None:
-            store_exact(attempted=False)
-            return
-        if strategy == "exact":
-            store_exact(attempted=True)
-            return
-
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-
-        def build_external(marker_conjuncts: Sequence[Term]) -> Term:
-            return conjoin([marker_conjuncts[i] for i in external_indices])
-
-        def compile_external(external_m: Term) -> DbclPredicate:
-            return self.metaevaluator.metaevaluate(
-                external_m, targets=list(fetch_targets)
-            )
-
-        material, compiled = self._parameterize(
-            shape,
-            goal,
-            build_external,
-            compile_external,
-            options,
-            kind=kind,
-            fetch_targets=fetch_targets,
-            internal_indices=internal_indices,
-            external_indicators=[
-                goal_indicator(term)
-                for term in split.external
-                if isinstance(term, Struct)
-            ],
-            relevant=relevant,
-            initial_material=strategy,
-        )
-        if compiled is None:
-            # Constant-sensitive on every relevant position: cache the
-            # cold compilation itself, keyed by the exact constants.
-            store_exact(attempted=True)
-            return
-        self.plans.store(shape, material, compiled)
-
-    def _compile_fetch_plan(
+    def _sql_plan(
         self,
-        shape: GoalShape,
-        goal: Term,
-        targets: Sequence[Variable],
-        name: str,
-        options: SimplifyOptions,
-        final: Optional[DbclPredicate],
-        original: Optional[DbclPredicate] = None,
-        sql_text: Optional[str] = None,
-    ) -> None:
-        """Cache the compiled rule branch of a metaevaluate/4 fetch."""
-        # retain, not sync: the assert_answers just above advanced the
-        # generation, but this shape's own cache slot (and its lazy
-        # `attempted` progress) stays valid across its own answer facts.
-        self.plans.retain(shape, self.kb)
-        try:
-            fetch_targets = tuple(targets)
-            relevant = frozenset(range(shape.parameter_count))
-
-            def store_exact(attempted: bool) -> None:
-                plan = self._exact_plan(
-                    "fetch", final, sql_text, fetch_targets, (), original
-                )
-                self.plans.store(shape, relevant, plan, attempted=attempted)
-
-            strategy = self._compile_strategy(shape, relevant)
-            if strategy is None:
-                store_exact(attempted=False)
-                return
-            if strategy == "exact":
-                store_exact(attempted=True)
-                return
-
-            def compile_view(view_goal: Term) -> DbclPredicate:
-                branches = [
-                    branch
-                    for branch in self.metaevaluator.collect_branches(view_goal)
-                    if branch.dbcalls
-                ]
-                if len(branches) != 1:
-                    raise CouplingError("view shape is not a single rule branch")
-                return self.metaevaluator.branch_to_dbcl(
-                    branches[0], name, list(fetch_targets)
-                )
-
-            indicators = [
-                goal_indicator(term)
-                for term in conjuncts(goal)
-                if isinstance(term, Struct)
-            ]
-            material, compiled = self._parameterize(
-                shape,
-                goal,
-                lambda marker_conjuncts: conjoin(list(marker_conjuncts)),
-                compile_view,
-                options,
-                kind="fetch",
-                fetch_targets=fetch_targets,
-                internal_indices=(),
-                external_indicators=indicators,
-                relevant=relevant,
-                initial_material=strategy,
-                ignore_facts=True,
-            )
-            if compiled is None:
-                store_exact(attempted=True)
-                return
-            self.plans.store(shape, material, compiled)
-        except Exception:
-            self.plans.mark_uncacheable(shape)
+        artifacts: dict,
+        final: DbclPredicate,
+        parameter_map: dict,
+        open_params: tuple[int, ...],
+        param_columns: dict,
+    ) -> Optional[CompiledPlan]:
+        """A parameterized plan for a marker compilation, or None if empty."""
+        sql = translate(final, distinct=True, parameters=parameter_map)
+        if sql.is_empty:
+            # A marker-free ground comparison is false for every constant
+            # choice; let the exact path replay the empty.
+            return None
+        return CompiledPlan(
+            kind=artifacts["kind"],
+            template=final,
+            sql_text=self.database.prepare(sql),
+            sql=sql,
+            bind_order=sql.parameter_order(),
+            open_params=open_params,
+            param_columns=param_columns,
+            fetch_targets=tuple(artifacts["fetch_targets"]),
+            internal_indices=artifacts["internal"],
+        )
 
     def _parameterize(
         self,
         shape: GoalShape,
         goal: Term,
-        build_external,
-        compile_external,
-        options: SimplifyOptions,
-        kind: str,
-        fetch_targets: tuple[Variable, ...],
-        internal_indices: tuple[int, ...],
-        external_indicators: Sequence[tuple[str, int]],
-        relevant: Optional[frozenset] = None,
+        artifacts: dict,
+        relevant: frozenset,
+        finish,
         initial_material: frozenset = frozenset(),
-        ignore_facts: bool = False,
+        attempts: int = 4,
     ) -> tuple[frozenset, Optional[CompiledPlan]]:
         """Find the maximal parameterization of a shape, compile it.
 
@@ -2319,6 +2072,13 @@ class PrologDbSession:
         * every marker survives into the simplified predicate (a vanished
           marker means its restriction was reasoned away).
 
+        The conjuncts at ``artifacts["external"]`` are compiled; the
+        ``relevant`` constants are the ones they hold.  ``attempts``
+        bounds the growth rounds (1 makes the analysis one-shot).
+        ``finish(final, parameter_map, open_params, param_columns)``
+        builds the plan from the simplified marker predicate, or returns
+        None when it proves empty.
+
         Returns ``(material, plan)``; ``plan`` is None when every position
         is material — the caller falls back to exact-constant caching.
         Shapes whose reachable clauses pattern-match on constants in their
@@ -2328,33 +2088,38 @@ class PrologDbSession:
         from ..dbcl.symbols import watch_marker_consultation
         from ..errors import TranslationError
 
-        all_params = (
-            relevant
-            if relevant is not None
-            else frozenset(range(shape.parameter_count))
-        )
-        irrelevant = frozenset(range(shape.parameter_count)) - all_params
+        kind, options = artifacts["kind"], artifacts["options"]
+        positions = artifacts["external"]
+        conjunct_list = conjuncts(goal)
+        compiled_goal = conjoin([conjunct_list[i] for i in positions])
+        # The fetch path discards branches without database calls, so a
+        # fact matching one constant and not another never changes it.
         if self._constant_discriminating(
-            external_indicators, ignore_facts=ignore_facts
+            compiled_goal, ignore_facts=kind == "fetch"
         ):
-            return all_params, None
+            return relevant, None
 
-        material: frozenset = frozenset(initial_material) & all_params
-        for _attempt in range(4):
-            if all_params and material == all_params:
-                return all_params, None
+        irrelevant = frozenset(range(shape.parameter_count)) - relevant
+        material: frozenset = frozenset(initial_material) & relevant
+        for _attempt in range(attempts):
+            if relevant and material == relevant:
+                return relevant, None
             # Irrelevant (internal-conjunct) constants keep their concrete
             # values: they never reach the compiled predicate anyway.
-            marker_goal = goal_with_markers(goal, material | irrelevant)
-            marker_conjuncts = conjuncts(marker_goal)
-            external_m = build_external(marker_conjuncts)
-            predicate_m = compile_external(external_m)
+            marker_conjuncts = conjuncts(
+                goal_with_markers(goal, material | irrelevant)
+            )
+            predicate_m = self._to_dbcl(
+                kind,
+                conjoin([marker_conjuncts[i] for i in positions]),
+                artifacts["fetch_targets"],
+            )
             param_cells = marker_columns(predicate_m)
-            open_params = all_params - material
+            open_params = relevant - material
             with watch_marker_consultation() as witness:
                 result_m = simplify(predicate_m, self.constraints, options)
             if result_m.is_empty:
-                return all_params, None
+                return relevant, None
             if witness.consulted:
                 # A marker's value was reasoned about.  Attribute it to the
                 # markers visible in comparisons (the only place ordering
@@ -2367,7 +2132,7 @@ class PrologDbSession:
                 if culprits:
                     material |= culprits
                     continue
-                return all_params, None
+                return relevant, None
             final_m = result_m.predicate
             vanished = (
                 open_params
@@ -2377,68 +2142,35 @@ class PrologDbSession:
             if vanished:
                 material |= vanished
                 continue
-            if options != SimplifyOptions.none():
-                # The same statistics-driven row order a cold compile
-                # applies (cardinality estimates never consult a marker's
-                # concrete value, so parameterization is unaffected).
-                final_m = self._cost_ordered(final_m)
-            parameter_map = {
-                str(marker_for(index)): index for index in open_params
-            }
+            # The same statistics-driven row order a cold compile applies
+            # (cardinality estimates never consult a marker's concrete
+            # value, so parameterization is unaffected).
+            final_m = self._cost_ordered(final_m, options)
             try:
                 with watch_marker_consultation() as translate_witness:
-                    sql = translate(
-                        final_m, distinct=True, parameters=parameter_map
+                    plan = finish(
+                        final_m,
+                        {str(marker_for(index)): index for index in open_params},
+                        tuple(sorted(open_params)),
+                        {index: param_cells.get(index, ()) for index in open_params},
                     )
-                if translate_witness.consulted:
-                    return all_params, None
             except TranslationError:
-                return all_params, None
-            if sql.is_empty:
-                # A marker-free ground comparison is false for every
-                # constant choice; let the exact path replay the empty.
-                return all_params, None
-            plan = CompiledPlan(
-                kind=kind,
-                template=final_m,
-                sql_text=self.database.prepare(sql),
-                sql=sql,
-                bind_order=sql.parameter_order(),
-                open_params=tuple(sorted(open_params)),
-                param_columns={
-                    index: param_cells.get(index, ()) for index in open_params
-                },
-                fetch_targets=fetch_targets,
-                internal_indices=internal_indices,
-            )
+                return relevant, None
+            if translate_witness.consulted or plan is None:
+                return relevant, None
             return material, plan
-        return all_params, None
+        return relevant, None
 
-    def _constant_discriminating(
-        self,
-        indicators: Sequence[tuple[str, int]],
-        ignore_facts: bool = False,
-    ) -> bool:
+    def _constant_discriminating(self, goal: Term, ignore_facts: bool) -> bool:
         """Do reachable clauses pattern-match constants in their heads?
 
         Unfolding a goal whose argument is a parameter marker must take
         exactly the branches a concrete constant would; a clause head with
         a constant argument breaks that (the marker fails the unification
         some constants would pass), so such shapes stay unparameterized.
-
-        ``ignore_facts`` skips bodyless clauses: the fetch path discards
-        branches without database calls, so a fact matching one constant
-        and not another never changes the compiled rule branch.
+        ``ignore_facts`` skips bodyless clauses.
         """
-        import networkx as nx
-
-        graph = self.plans.graph(self.kb, self.schema)
-        reachable: set[tuple[str, int]] = set()
-        for indicator in indicators:
-            reachable.add(indicator)
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-        for indicator in reachable:
+        for indicator in self._reachable(goal):
             for clause in self.kb.all_clauses(indicator):
                 if ignore_facts and clause.is_fact:
                     continue
@@ -2454,89 +2186,98 @@ class PrologDbSession:
     def _execute_plan(
         self,
         plan: CompiledPlan,
-        shape: GoalShape,
+        shape: Optional[GoalShape],
         goal: Term,
-        goal_vars: Sequence[Variable],
         max_solutions: Optional[int],
-    ) -> list[dict[str, Value]]:
-        """Answer a goal through its cached plan (the warm path)."""
-        if plan.kind == "recursive":
-            return self._ask_recursive(goal)
-        if plan.kind == "engine":
-            return self._answers_from_engine(goal, goal_vars, max_solutions)
-        if plan.is_empty:
-            return []
-        bound = plan.bind(shape.constants, self.constraints)
-        if bound is None:
-            self.plans.stats.incr("bind_empties")
-            return []
-        rows = self._rows_for_plan(plan, shape, bound, goal)
-        # A segment merge inside _rows_for_plan retracts relation facts and
-        # advances the KB generation; keep this shape's plan alive.
-        self.plans.retain(shape, self.kb)
-        if plan.kind == "external":
-            answers = self._rows_to_answers(
-                bound, plan.fetch_targets, rows, goal_vars
-            )
-            if max_solutions is not None:
-                return answers[:max_solutions]
-            return answers
-        # The stored fetch targets carry compile-time ordinals; resolve
-        # them to this goal's variables by name (the shape key guarantees
-        # names match and are unambiguous) so the interface predicate
-        # joins with the internal conjuncts.
-        by_name = {v.name: v for v in variables_of(goal)}
-        current_targets = [by_name[t.name] for t in plan.fetch_targets]
-        conjunct_list = conjuncts(goal)
-        internal_goals = [conjunct_list[i] for i in plan.internal_indices]
-        return self._combine_with_internal(
-            bound, current_targets, rows, internal_goals, goal_vars,
-            max_solutions,
-        )
+        span=None,
+        read_only: bool = False,
+        dirty: Optional[dict[str, RelationViolations]] = None,
+    ):
+        """Answer a goal through its compiled plan — the warm executor.
 
-    def _execute_fetch_plan(
-        self,
-        plan: CompiledPlan,
-        shape: GoalShape,
-        goal: Term,
-        targets: Sequence[Variable],
-    ) -> tuple[Optional[DbclPredicate], list[tuple]]:
-        """The warm half of ``_fetch_view``."""
+        Binds the shape's constants, fetches rows, and demultiplexes them
+        into answers, for ``ask``'s read-locked and write-locked paths
+        and for ``ask_consistent``.  ``read_only`` is the read lock's
+        contract: a pending segment merge returns :data:`_NEEDS_WRITE`
+        instead of mutating.  ``dirty`` (the relations with violations)
+        marks a consistent-mode plan, whose rows come from the rewriting
+        statement or repair enumeration, never the result cache.
+        """
+        kind = plan.kind
+        if kind == "recursive":
+            return self._ask_recursive(goal)
+        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
+        if kind == "engine":
+            return self._answers_from_engine(goal, goal_vars, max_solutions)
+        constants = shape.constants if shape is not None else ()
+        if dirty is not None:
+            cqa_info = {
+                "mode": "rewritten" if kind == "cqa" else "enumerated",
+                "rewritable": kind == "cqa",
+                "dirty_relations": sorted(dirty),
+                "violating_blocks": sum(v.block_count for v in dirty.values()),
+            }
+            if span is not None:
+                span.cqa = cqa_info
+            if plan.is_empty:
+                self.cqa_stats.incr("rewritten_asks")
+        bound = self._bind(plan, constants)
+        if bound is None:
+            return []
+        if dirty is not None:
+            rows = self._certain_rows(plan, constants, bound, dirty, cqa_info)
+        elif read_only and self._pending_segments(bound):
+            return _NEEDS_WRITE  # merging segments mutates both stores
+        else:
+            rows = self._rows_for_plan(plan, constants, bound, goal)
+            if not read_only:
+                # A segment merge inside _rows_for_plan retracts relation
+                # facts and advances the KB generation; keep this shape's
+                # plan alive.
+                self.plans.retain(shape, self.kb)
+        if kind == "mixed":
+            # The stored fetch targets carry compile-time ordinals; resolve
+            # them to this goal's variables by name (the shape key
+            # guarantees names match and are unambiguous) so the interface
+            # predicate joins with the internal conjuncts.
+            by_name = {v.name: v for v in variables_of(goal)}
+            conjunct_list = conjuncts(goal)
+            return self._combine_with_internal(
+                bound,
+                [by_name[t.name] for t in plan.fetch_targets],
+                rows,
+                [conjunct_list[i] for i in plan.internal_indices],
+                goal_vars,
+                max_solutions,
+            )
+        if span is not None:
+            mark = time.perf_counter()
+        answers = self._rows_to_answers(bound, rows, goal_vars)
+        if span is not None:
+            span.phases["demux"] = time.perf_counter() - mark
+        if max_solutions is not None:
+            return answers[:max_solutions]
+        return answers
+
+    def _bind(
+        self, plan: CompiledPlan, constants: tuple
+    ) -> Optional[DbclPredicate]:
+        """The plan's template with ``constants`` bound, or None if empty.
+
+        Empty means compiled empty, or a constant outside its declared
+        domain; only the latter counts as a ``bind_empties``.
+        """
         if plan.is_empty:
-            # The cold compile proved this exact-constant shape empty; it
-            # stored the pre-simplification predicate for the trace.
-            self.plans.stats.incr("bind_empties")
-            return plan.template, []
-        bound = plan.bind(shape.constants, self.constraints)
+            return None
+        bound = plan.bind(constants, self.constraints)
         if bound is None:
             self.plans.stats.incr("bind_empties")
-            # Match the cold path's contract: a provably-empty fetch still
-            # reports the (unsimplified) predicate it proved empty.  Re-run
-            # the cold front half for the trace (no rows will be fetched).
-            name = self.metaevaluator._default_name(goal)
-            branches = [
-                b
-                for b in self.metaevaluator.collect_branches(goal)
-                if b.dbcalls
-            ]
-            if not branches:
-                return None, []
-            predicate = self.metaevaluator.branch_to_dbcl(
-                branches[0], name, list(targets)
-            )
-            return predicate, []
-        rows = self._rows_for_plan(plan, shape, bound, goal)
-        assert_answers(self.kb, goal, bound, targets, rows)
-        # New answer facts (or a segment merge above) advanced the KB
-        # generation; keep this shape's plan alive across the bump, as the
-        # cold path does by recompiling after its own assert.
-        self.plans.retain(shape, self.kb)
-        return bound, rows
+        return bound
 
     def _rows_for_plan(
         self,
         plan: CompiledPlan,
-        shape: GoalShape,
+        constants: tuple,
         bound: DbclPredicate,
         goal: Optional[Term] = None,
     ) -> list[tuple]:
@@ -2545,7 +2286,7 @@ class PrologDbSession:
         if rows is None:
             self._merge_internal_segments(bound)
             rows = self.database.execute_prepared(
-                plan.sql_text, plan.bind_values(shape.constants)
+                plan.sql_text, plan.bind_values(constants)
             )
             self.cache.store(bound, rows, self._result_dependencies(bound, goal))
         return rows
@@ -2584,7 +2325,6 @@ class PrologDbSession:
     def _rows_to_answers(
         self,
         predicate: DbclPredicate,
-        targets: Sequence[Variable],
         rows: Sequence[tuple],
         goal_vars: Sequence[Variable],
     ) -> list[dict[str, Value]]:
@@ -2610,7 +2350,7 @@ class PrologDbSession:
                 self.kb,
                 self.schema,
                 goal,
-                graph=self.plans.graph(self.kb, self.schema),
+                graph=self._call_graph(),
                 recursive=self.plans.recursive_indicators(self.kb, self.schema),
             )
         return is_recursive_goal(self.kb, self.schema, goal)
@@ -2760,11 +2500,10 @@ class PrologDbSession:
         if isinstance(goal, str):
             goal = parse_goal(goal)
         targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         with self.kb.lock.read():
             translation = translate_disjunctive(
                 self.metaevaluator, goal, self.constraints, targets=targets,
-                options=options,
+                options=self._simplify_options,
             )
             rows = self.database.execute(translation.union)
         live = [p for p in translation.simplified if p is not None]
@@ -2786,11 +2525,10 @@ class PrologDbSession:
         if isinstance(goal, str):
             goal = parse_goal(goal)
         targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         with self.kb.lock.read():
             translation = translate_with_negation(
                 self.metaevaluator, goal, self.constraints, targets=targets,
-                options=options,
+                options=self._simplify_options,
             )
             rows = self.database.execute(translation.query)
         names = [item.label or item.column.attribute for item in translation.query.select]
@@ -2812,13 +2550,12 @@ class PrologDbSession:
         """Tuple-substitution evaluation for mixed conjunctions."""
         from ..extensions.stepwise import StepwiseEvaluator
 
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         evaluator = StepwiseEvaluator(
             self.metaevaluator,
             self.engine,
             self.database,
             self.constraints,
-            options=options,
+            options=self._simplify_options,
         )
         # Tuple-substitution resolves through the engine (which programs
         # may mutate mid-proof): write side.
@@ -2899,9 +2636,11 @@ class PrologDbSession:
         if isinstance(goal, str):
             goal = parse_goal(goal)
         targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        predicate = self.metaevaluator.metaevaluate(goal, targets=targets)
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        result = simplify(predicate, self.constraints, options)
+        # Read-locked like every other reader of the knowledge base: a
+        # concurrent consult must not change the clauses mid-unfolding.
+        with self.kb.lock.read():
+            predicate = self.metaevaluator.metaevaluate(goal, targets=targets)
+        result = simplify(predicate, self.constraints, self._simplify_options)
         if result.is_empty:
             from ..sql.ast import empty_query
 

@@ -481,6 +481,81 @@ class TestFetchViewPlans:
         assert session.plans.stats.compiled == 2
         assert session.plans.stats.hits == len(names) - 2
 
+    @pytest.mark.parametrize("option", ["optim", "no_optim"])
+    def test_warm_fetch_matches_cold(self, org, option):
+        """Warm metaevaluate/4 fetches return what a cold session returns.
+
+        Three shapes: rotating constants (a parameterized plan), a view
+        whose cold compile proves it empty (an exact empty plan), and a
+        salary outside its declared bounds (empty at bind time under
+        no_optim, whose plans keep the salary a parameter; optim
+        specialises the salary and proves it empty at compile time).
+        The DBCL term and the asserted answer facts must both equal those
+        of a plan_cache=False session fed the same goals.
+        """
+        views = (
+            "v(X) :- empl(E, X, S, D), greater(5, 7).\n"
+            "paid(X, S) :- empl(E, X, S, D).\n"
+        )
+        names = [e.nam for e in org.employees[:4]]
+        goals = (
+            [f"same_manager(X, {name})" for name in names + names[:2]]
+            + ["v(X)"] * 3
+            + ["paid(X, 20000)", "paid(X, 30000)"]
+            + ["paid(X, 95000)"] * 2
+        )
+        warm = PrologDbSession()
+        warm.load_org(org)
+        warm.consult(WORKS_DIR_FOR_SOURCE)
+        warm.consult(SAME_MANAGER_SOURCE)
+        warm.consult(views)
+        cold = fresh_session(org)
+        cold.consult(views)
+
+        def fetch(session, goal):
+            answers = session.ask(f"metaevaluate(prog, [{goal}], {option}, Q)")
+            return [a["Q"] for a in answers]
+
+        for goal in goals:
+            assert fetch(warm, goal) == fetch(cold, goal), goal
+        assert warm.plans.stats.hits >= 6  # the warm side really was warm
+        if option == "no_optim":
+            assert warm.plans.stats.bind_empties == 2
+
+        def facts(session, indicator):
+            return sorted(str(c.head) for c in session.kb.all_clauses(indicator))
+
+        for indicator in [("same_manager", 2), ("v", 1), ("paid", 2)]:
+            assert facts(warm, indicator) == facts(cold, indicator), indicator
+        warm.close()
+        cold.close()
+
+
+class TestBindEmpties:
+    def test_counts_only_bind_time_domain_proofs(self, session, org):
+        """``bind_empties`` counts constants proven out of their domain.
+
+        A warm fetch whose cold compile already proved it empty is a
+        plan-cache hit, not a bind empty; a warm ask whose constant
+        violates a declared domain is one.
+        """
+        session.consult("v(X) :- empl(E, X, S, D), greater(5, 7).")
+        hits = session.plans.stats.hits
+        for _ in range(4):  # cold, lazy-compiled, warm, warm
+            session.ask("metaevaluate(prog, [v(X)], optim, Q)")
+        assert session.plans.stats.hits > hits
+        assert session.plans.stats.bind_empties == 0
+
+        # Without Algorithm 2 the salary stays a plan parameter, so only
+        # the bind-time bounds check can prove 95000 out of range.
+        unoptimized = PrologDbSession(optimize=False)
+        unoptimized.load_org(org)
+        unoptimized.ask("empl(E, N, 20000, D)")  # exact plan
+        unoptimized.ask("empl(E, N, 30000, D)")  # parameterized plan
+        assert unoptimized.ask("empl(E, N, 95000, D)") == []
+        assert unoptimized.plans.stats.bind_empties == 1
+        unoptimized.close()
+
 
 class TestRecursionPreparedPath:
     def test_setrel_levels_do_not_reprint_sql(self, org):

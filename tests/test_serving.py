@@ -332,6 +332,20 @@ class TestConcurrentServing:
         assert answer_set(session.ask(goal)) == before
         session.close()
 
+    def test_explain_waits_for_writer(self, session):
+        """``explain`` reads the knowledge base under its read lock."""
+        traces = []
+        thread = threading.Thread(
+            target=lambda: traces.append(session.explain("works_dir_for(X, Y)"))
+        )
+        with session.kb.lock.write():
+            thread.start()
+            thread.join(timeout=0.3)
+            assert thread.is_alive() and not traces  # blocked on the writer
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert "SELECT" in traces[0].sql_text
+
     def test_concurrent_ask_many(self, org):
         """Batched serving from several threads stays identical."""
         session = make_session(org)
